@@ -13,8 +13,9 @@
 //! The histogram buckets by the bit length of the recorded value
 //! (microseconds, in the daemon's usage): bucket `i` holds values in
 //! `[2^(i-1), 2^i)`, bucket 0 holds zero. Quantiles come back as the upper
-//! bound of the bucket the quantile falls in — within 2× of the true
-//! value, which is the standard trade of log-bucketed histograms.
+//! bound of the bucket the quantile falls in, clamped to the exact max —
+//! within 2× of the true value, which is the standard trade of
+//! log-bucketed histograms, and never above the largest sample.
 //!
 //! # Examples
 //!
@@ -130,11 +131,12 @@ pub struct HistogramSnapshot {
     pub sum: u64,
     /// Largest sample recorded (exact, not bucketed).
     pub max: u64,
-    /// Median, as the upper bound of its bucket (0 when empty).
+    /// Median, as the upper bound of its bucket clamped to `max` (0 when
+    /// empty).
     pub p50: u64,
-    /// 90th percentile, bucket upper bound.
+    /// 90th percentile, bucket upper bound clamped to `max`.
     pub p90: u64,
-    /// 99th percentile, bucket upper bound.
+    /// 99th percentile, bucket upper bound clamped to `max`.
     pub p99: u64,
 }
 
@@ -225,7 +227,9 @@ impl Histogram {
         for (i, &c) in counts.iter().enumerate() {
             cumulative += c;
             while next < ranks.len() && cumulative >= ranks[next] {
-                out[next] = Self::bucket_upper(i);
+                // A bucket's upper bound can overshoot every sample in it;
+                // the exact max is a tighter bound on the top buckets.
+                out[next] = Self::bucket_upper(i).min(snap.max);
                 next += 1;
             }
             if next == ranks.len() {
@@ -281,11 +285,34 @@ mod tests {
         assert_eq!(s.count, 1000);
         assert_eq!(s.sum, 500_500);
         assert_eq!(s.max, 1000);
-        // Log-bucketed quantiles overestimate by at most 2x.
+        // Log-bucketed quantiles overestimate by at most 2x, and never
+        // past the exact max.
         assert!(s.p50 >= 500 && s.p50 < 1024, "p50 = {}", s.p50);
-        assert!(s.p90 >= 900 && s.p90 < 2048, "p90 = {}", s.p90);
-        assert!(s.p99 >= 990 && s.p99 < 2048, "p99 = {}", s.p99);
-        assert!(s.p50 <= s.p90 && s.p90 <= s.p99);
+        assert!(s.p90 >= 900 && s.p90 <= 1000, "p90 = {}", s.p90);
+        assert_eq!(s.p99, 1000);
+        assert!(s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max);
+
+        // Skewed inputs, where the top bucket's upper bound overshoots
+        // the max by up to 2x: the quantiles stay ordered and under it.
+        for samples in [
+            vec![42u64; 9],
+            vec![5_084_072],
+            [vec![3u64; 95], vec![63u64; 4], vec![65]].concat(),
+            [vec![1u64; 50], vec![1025u64; 50]].concat(),
+            (0..1000u64).map(|i| i * i * i).collect(),
+        ] {
+            let h = Histogram::new();
+            for &v in &samples {
+                h.record(v);
+            }
+            let s = h.snapshot();
+            assert_eq!(s.max, samples.iter().copied().max().unwrap());
+            assert!(
+                s.p50 <= s.p90 && s.p90 <= s.p99 && s.p99 <= s.max,
+                "{s:?} on {} samples",
+                samples.len()
+            );
+        }
     }
 
     #[test]

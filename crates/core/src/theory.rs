@@ -173,12 +173,11 @@ where
 /// over the cached cover using epoch-stamped scratch buffers — zero
 /// allocation per warm [`PredictIndex::summary`] query, `O(n + m)` time.
 ///
-/// This is the index `af-serve` caches per registered graph: the
-/// cold path (rebuild the cover per query, as the CLI one-shot does) pays
-/// the cover construction and fresh BFS allocations on every call; the
-/// warm path amortizes them across millions of predictions.
-/// [`PredictIndex::predict`] is **bit-identical** to the free-standing
-/// [`predict`] — a unit test below confronts them on the zoo.
+/// This is the referee for [`predict_summary`], the cover-free path
+/// `af-serve` answers `Predict` with: the tests confront the two on the
+/// zoo and on random source sets. [`PredictIndex::predict`] is
+/// **bit-identical** to the free-standing [`predict`] — a unit test below
+/// confronts them on the zoo.
 #[derive(Debug)]
 pub struct PredictIndex {
     cover: algo::DoubleCover,
@@ -359,6 +358,61 @@ impl PredictIndex {
             total_messages: degree_sum / 2,
             informed_count: informed,
         }
+    }
+}
+
+/// The scalar prediction — termination round, message count, informed
+/// nodes — by one parity-constrained BFS on `graph` itself, without the
+/// double cover. Equal field-for-field to [`PredictIndex::summary`]:
+///
+/// * the termination round is the largest positive parity distance;
+/// * a node is informed iff it has a positive distance of either parity;
+/// * every reached `(u, parity)` state sends one message down each of
+///   `u`'s edges, and each message lands on a reached state, so the
+///   message count is half the degree sum over the reached states.
+///
+/// Allocates its BFS buffers per call (at most 24 bytes per node) and frees
+/// them on return; `O(n + m)` time. Duplicate sources are collapsed.
+///
+/// # Panics
+///
+/// Panics if a source is out of range.
+///
+/// # Examples
+///
+/// ```
+/// use af_core::theory;
+/// use af_graph::generators;
+///
+/// // Figure 2's triangle: 2D + 1 = 3 rounds, 2m = 6 messages.
+/// let s = theory::predict_summary(&generators::cycle(3), [1.into()]);
+/// assert_eq!((s.termination_round, s.total_messages, s.informed_count), (3, 6, 3));
+/// ```
+#[must_use]
+pub fn predict_summary<I>(graph: &Graph, sources: I) -> PredictSummary
+where
+    I: IntoIterator<Item = NodeId>,
+{
+    let pd = algo::parity_distances(graph, sources);
+    let mut termination = 0u32;
+    let mut informed = 0usize;
+    let mut degree_sum = 0u64;
+    for u in graph.nodes() {
+        let (even, odd) = pd.both(u);
+        let mut any = false;
+        for d in [even, odd].into_iter().flatten() {
+            degree_sum += graph.degree(u) as u64;
+            if d > 0 {
+                termination = termination.max(d);
+                any = true;
+            }
+        }
+        informed += usize::from(any);
+    }
+    PredictSummary {
+        termination_round: termination,
+        total_messages: degree_sum / 2,
+        informed_count: informed,
     }
 }
 
@@ -930,6 +984,8 @@ mod tests {
             assert_eq!(summary.termination_round, want.termination_round());
             assert_eq!(summary.total_messages, want.total_messages());
             assert_eq!(summary.informed_count, want.informed_count());
+            // The cover-free path the daemon answers with.
+            assert_eq!(predict_summary(&g, srcs.iter().copied()), summary);
         }
 
         // One index, many queries: warm queries must stay exact — the

@@ -131,11 +131,20 @@ proptest! {
     }
 
     /// The two independent oracle implementations (materialized double
-    /// cover vs parity BFS) agree exactly.
+    /// cover vs parity BFS) agree exactly, and so do their scalar slices
+    /// ([`theory::PredictIndex::summary`] vs [`theory::predict_summary`]),
+    /// on source sets that may be empty or repeat a node.
     #[test]
-    fn oracle_implementations_agree((g, sources) in graph_and_sources()) {
-        let a = theory::predict(&g, sources.iter().copied());
-        let b = theory::predict_via_parity(&g, sources.iter().copied());
+    fn oracle_implementations_agree((g, sources) in graph_and_sources(), len in 0usize..6) {
+        let set: Vec<NodeId> = sources.iter().cycle().take(len).copied().collect();
+        let a = theory::predict(&g, set.iter().copied());
+        let b = theory::predict_via_parity(&g, set.iter().copied());
+        let referee = theory::PredictIndex::new(&g).summary(set.iter().copied());
+        prop_assert_eq!(
+            (referee.termination_round, referee.total_messages, referee.informed_count),
+            (a.termination_round(), a.total_messages(), a.informed_count())
+        );
+        prop_assert_eq!(theory::predict_summary(&g, set.iter().copied()), referee);
         prop_assert_eq!(a, b);
     }
 

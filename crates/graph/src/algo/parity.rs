@@ -13,16 +13,26 @@
 
 use crate::graph::Graph;
 use crate::id::NodeId;
-use std::collections::VecDeque;
+
+/// Marks a `(node, parity)` state no walk reaches.
+const UNREACHED: u32 = u32::MAX;
 
 /// Shortest even- and odd-length walk distances from a source set.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ParityDistances {
-    even: Vec<Option<u32>>,
-    odd: Vec<Option<u32>>,
+    /// The distance of state `(v, parity)` at index `2v` (even) or
+    /// `2v + 1` (odd), [`UNREACHED`] if no walk of that parity exists.
+    /// Interleaving the parities keeps a node's two states on one cache
+    /// line.
+    dist: Vec<u32>,
 }
 
 impl ParityDistances {
+    fn state(&self, x: usize) -> Option<u32> {
+        let d = self.dist[x];
+        (d != UNREACHED).then_some(d)
+    }
+
     /// Length of the shortest even-length walk from the sources to `v`
     /// (0 for the sources themselves), or `None` if no such walk exists.
     ///
@@ -32,7 +42,7 @@ impl ParityDistances {
     #[inline]
     #[must_use]
     pub fn even(&self, v: NodeId) -> Option<u32> {
-        self.even[v.index()]
+        self.state(2 * v.index())
     }
 
     /// Length of the shortest odd-length walk from the sources to `v`, or
@@ -44,7 +54,7 @@ impl ParityDistances {
     #[inline]
     #[must_use]
     pub fn odd(&self, v: NodeId) -> Option<u32> {
-        self.odd[v.index()]
+        self.state(2 * v.index() + 1)
     }
 
     /// Both parities, `(even, odd)`.
@@ -61,17 +71,16 @@ impl ParityDistances {
     /// flooding termination round from these sources.
     #[must_use]
     pub fn max_finite(&self) -> Option<u32> {
-        self.even
-            .iter()
-            .chain(self.odd.iter())
-            .flatten()
-            .copied()
-            .max()
+        self.dist.iter().copied().filter(|&d| d != UNREACHED).max()
     }
 }
 
 /// Computes shortest even/odd walk lengths from every node of `sources`
 /// via BFS over `(node, parity)` states. Duplicate sources are tolerated.
+///
+/// Holds two buffers while it runs: one `u32` distance per state (8
+/// bytes per node) and a queue that every state enters at most once (at
+/// most 16 bytes per node, allocated once and never grown).
 ///
 /// # Panics
 ///
@@ -96,40 +105,34 @@ where
     I: IntoIterator<Item = NodeId>,
 {
     let n = graph.node_count();
-    let mut even: Vec<Option<u32>> = vec![None; n];
-    let mut odd: Vec<Option<u32>> = vec![None; n];
-    let mut queue: VecDeque<(NodeId, bool)> = VecDeque::new();
+    let mut dist = vec![UNREACHED; 2 * n];
+    let mut queue: Vec<usize> = Vec::with_capacity(2 * n);
 
     for s in sources {
         assert!(s.index() < n, "source {s} out of range");
-        if even[s.index()].is_none() {
-            even[s.index()] = Some(0);
-            queue.push_back((s, false));
+        let x = 2 * s.index();
+        if dist[x] == UNREACHED {
+            dist[x] = 0;
+            queue.push(x);
         }
     }
 
-    while let Some((u, is_odd)) = queue.pop_front() {
-        let du = if is_odd {
-            odd[u.index()]
-        } else {
-            even[u.index()]
-        }
-        // af-audit: allow(no-unwrap-in-lib): BFS sets the distance before enqueueing
-        .expect("queued states have distances");
-        for &w in graph.neighbors(u) {
-            let slot = if is_odd {
-                &mut even[w.index()]
-            } else {
-                &mut odd[w.index()]
-            };
-            if slot.is_none() {
-                *slot = Some(du + 1);
-                queue.push_back((w, !is_odd));
+    let mut head = 0;
+    while let Some(&x) = queue.get(head) {
+        head += 1;
+        let next = dist[x] + 1;
+        // A step flips the walk's parity: state (u, p) reaches (w, 1 - p).
+        let flipped = (x & 1) ^ 1;
+        for &w in graph.neighbors(NodeId::new(x / 2)) {
+            let y = 2 * w.index() + flipped;
+            if dist[y] == UNREACHED {
+                dist[y] = next;
+                queue.push(y);
             }
         }
     }
 
-    ParityDistances { even, odd }
+    ParityDistances { dist }
 }
 
 /// The odd girth: the length of the shortest odd cycle, or `None` if the

@@ -11,7 +11,9 @@
 //! * [`DeltaGraph`] — the overlay itself: a mutable edge set plus a
 //!   departed-node mask over a base [`Graph`], rebuilding a fresh CSR
 //!   snapshot after each batch so downstream engines keep their
-//!   cache-friendly adjacency scans;
+//!   cache-friendly adjacency scans. A long-lived owner can keep just the
+//!   shared snapshot and the departed ids, and resume an overlay from them
+//!   on demand ([`DeltaGraph::from_snapshot`] / [`DeltaGraph::into_graph`]);
 //! * [`ChurnSpec`] / [`ChurnKind`] — a compact, `Copy`, exactly-comparable
 //!   description of a churn workload (`kind:rate_pm:seed`, parseable from
 //!   CLI flags);
@@ -61,6 +63,7 @@ use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use std::collections::BTreeMap;
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// One batch of topology edits, applied atomically at a round boundary.
 ///
@@ -166,21 +169,57 @@ impl AppliedDelta {
 pub struct DeltaGraph {
     departed: Vec<bool>,
     edges: BTreeSet<(u32, u32)>,
-    snapshot: Graph,
+    snapshot: Arc<Graph>,
 }
 
 impl DeltaGraph {
     /// Creates an overlay whose current state equals `base`.
     #[must_use]
     pub fn new(base: &Graph) -> Self {
+        DeltaGraph::from_snapshot(Arc::new(base.clone()), &[])
+    }
+
+    /// Resumes an overlay from a shared snapshot and the ids that departed
+    /// before it was taken, without copying the CSR.
+    ///
+    /// The departed ids are the one piece of overlay state a snapshot
+    /// cannot give back: a departed node and an isolated live node look
+    /// the same in the CSR, but only the live one may gain edges. Ids out
+    /// of the snapshot's range are ignored.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use std::sync::Arc;
+    /// use af_graph::dynamic::{DeltaGraph, GraphDelta};
+    /// use af_graph::generators;
+    ///
+    /// let mut dg = DeltaGraph::new(&generators::path(3));
+    /// dg.apply(&GraphDelta { leave_nodes: vec![2], ..GraphDelta::default() });
+    /// let departed: Vec<_> = dg.departed_nodes().collect();
+    /// let snapshot: Arc<_> = dg.into_graph();
+    ///
+    /// // Later: node 2 stays departed, so it cannot be re-attached.
+    /// let mut dg = DeltaGraph::from_snapshot(snapshot, &departed);
+    /// let applied = dg.apply(&GraphDelta { insert_edges: vec![(0, 2)], ..GraphDelta::default() });
+    /// assert_eq!(applied.edits_skipped, 1);
+    /// ```
+    #[must_use]
+    pub fn from_snapshot(snapshot: Arc<Graph>, departed: &[NodeId]) -> Self {
+        let mut mask = vec![false; snapshot.node_count()];
+        for v in departed {
+            if let Some(slot) = mask.get_mut(v.index()) {
+                *slot = true;
+            }
+        }
         DeltaGraph {
-            departed: vec![false; base.node_count()],
-            edges: base
+            departed: mask,
+            edges: snapshot
                 .edge_list()
                 // af-audit: allow(no-lossy-id-cast): node ids are stored as u32
                 .map(|(u, v)| (u.index() as u32, v.index() as u32))
                 .collect(),
-            snapshot: base.clone(),
+            snapshot,
         }
     }
 
@@ -189,6 +228,23 @@ impl DeltaGraph {
     #[must_use]
     pub fn graph(&self) -> &Graph {
         &self.snapshot
+    }
+
+    /// Consumes the overlay, handing back the current snapshot (the one a
+    /// no-op batch left untouched, or the last rebuild) without a copy.
+    #[must_use]
+    pub fn into_graph(self) -> Arc<Graph> {
+        self.snapshot
+    }
+
+    /// The departed (retired) node ids, ascending — what
+    /// [`DeltaGraph::from_snapshot`] needs besides the snapshot.
+    pub fn departed_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        self.departed
+            .iter()
+            .enumerate()
+            .filter(|&(_, &gone)| gone)
+            .map(|(v, _)| NodeId::new(v))
     }
 
     /// Current node count (monotone non-decreasing: departed ids are
@@ -318,7 +374,7 @@ impl DeltaGraph {
                 // endpoints against the same node count the builder is sized to
                 .expect("overlay edges are valid by construction");
         }
-        self.snapshot = b.build();
+        self.snapshot = Arc::new(b.build());
     }
 }
 
@@ -814,6 +870,33 @@ mod tests {
         });
         assert_eq!(applied.edges_inserted, 1);
         assert_eq!(applied.edits_skipped, 1);
+    }
+
+    #[test]
+    fn resumed_overlay_continues_like_the_resident_one() {
+        let batches = [
+            GraphDelta {
+                leave_nodes: vec![3],
+                insert_edges: vec![(0, 5)],
+                ..GraphDelta::default()
+            },
+            GraphDelta {
+                insert_edges: vec![(3, 7), (1, 6)],
+                join_nodes: vec![vec![3, 2]],
+                ..GraphDelta::default()
+            },
+        ];
+        let mut resident = DeltaGraph::new(&generators::petersen());
+        let mut snapshot = Arc::new(generators::petersen());
+        let mut departed = Vec::new();
+        for batch in &batches {
+            let mut resumed = DeltaGraph::from_snapshot(snapshot, &departed);
+            assert_eq!(resumed.apply(batch), resident.apply(batch));
+            departed = resumed.departed_nodes().collect();
+            snapshot = resumed.into_graph();
+            assert_eq!(*snapshot, *resident.graph());
+        }
+        assert_eq!(departed, [NodeId::new(3)]);
     }
 
     #[test]

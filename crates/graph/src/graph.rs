@@ -305,6 +305,20 @@ impl Graph {
         self.endpoints.iter().copied()
     }
 
+    /// Heap bytes this graph owns: the capacities of its four CSR arrays,
+    /// which is exactly what the allocator handed out for them (the
+    /// `Graph` value itself, four `Vec` headers, is not counted).
+    #[must_use]
+    pub fn heap_bytes(&self) -> usize {
+        fn bytes<T>(v: &Vec<T>) -> usize {
+            v.capacity() * core::mem::size_of::<T>()
+        }
+        bytes(&self.offsets)
+            + bytes(&self.neighbors)
+            + bytes(&self.incident_edges)
+            + bytes(&self.endpoints)
+    }
+
     /// Sum of all degrees divided by node count, or 0.0 for an empty graph.
     #[must_use]
     pub fn average_degree(&self) -> f64 {

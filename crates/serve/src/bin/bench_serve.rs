@@ -1,6 +1,7 @@
-//! Measures what the daemon exists for: warm-index predict throughput
-//! versus paying the cold per-query cost (re-parse the graph text, build
-//! the double cover, BFS) that a process-per-query workflow pays.
+//! Measures what the daemon exists for: predict throughput on a graph
+//! loaded once (warm: one parity BFS on the resident snapshot per query)
+//! versus the cold per-query cost (re-parse the graph text, build the
+//! double cover, BFS) that a process-per-query workflow pays.
 //!
 //! ```text
 //! bench_serve             # full grid (~1e6-edge instance per family)
@@ -165,8 +166,8 @@ fn run(smoke: bool) -> ServeReport {
             source_sets: vec![set],
         };
 
-        // Untimed first query builds the index; its answer (and a few
-        // more) are cross-checked against the free oracle.
+        // A few untimed queries warm the allocator's pages; their
+        // answers are cross-checked against the free oracle.
         for &src in sources.iter().take(3) {
             let resp = server.registry().execute(&predict(vec![src]));
             let Response::Predicted { predictions } = resp else {

@@ -1,14 +1,15 @@
 //! `af-serve`: amnesiac flooding as a long-lived service.
 //!
-//! The other binaries in this workspace pay graph-construction and
-//! double-cover costs per invocation. This crate keeps them: a daemon
-//! loads graphs **once** into a named [`registry`], answers concurrent
-//! requests over newline-delimited JSON — one [`protocol::Request`] per
-//! line in, one [`protocol::Response`] per line out — on TCP and on
-//! stdio, and caches the per-graph double-cover
-//! [`af_core::theory::PredictIndex`] so every exact-time prediction
-//! after the first is a zero-allocation BFS on a warm index
-//! (`BENCH_serve.json` quantifies the win).
+//! The other binaries in this workspace pay graph-construction costs
+//! per invocation. This crate pays them once: a daemon loads graphs
+//! into a named [`registry`] and answers concurrent requests over
+//! newline-delimited JSON — one [`protocol::Request`] per line in, one
+//! [`protocol::Response`] per line out — on TCP and on stdio. Each
+//! registry entry holds one copy of its graph and nothing derived from
+//! it: an exact-time prediction is one parity BFS on that graph
+//! ([`af_core::theory::predict_summary`]), with buffers that live only
+//! as long as the request (`BENCH_serve.json` quantifies the win over
+//! re-parsing per query).
 //!
 //! The daemon adds **no third execution semantics**: floods run through
 //! [`af_core::api::FloodRequest::execute`], the same call the CLI's
@@ -24,7 +25,7 @@
 //! come back as [`protocol::TaggedResponse`] lines, possibly out of
 //! order, while bare requests keep their strict in-order semantics. A
 //! registry byte budget ([`Registry::with_budget`], `--registry-budget`)
-//! bounds resident graphs plus cached predict indexes by evicting the
+//! bounds the registered graphs' real heap bytes by evicting the
 //! least-recently-used graph; `Evict` does the same by hand.
 //! `--registry-dir` pre-loads a directory of edge lists at boot, and the
 //! `Bench` verb runs the measurement harness in-process so a live

@@ -35,9 +35,9 @@ const USAGE: &str = "usage: af-serve [--listen ADDR] [--line-cap BYTES] [--metri
 Serve the flooding protocol (PROTOCOL.md) as newline-delimited JSON.
 Default transport is stdio; --listen ADDR serves TCP instead.
 --pool N sizes the worker pool that runs id-enveloped requests out of
-order (default 4). --registry-budget BYTES caps the bytes held by
-registered graphs plus cached predict indexes, evicting least-recently
-used graphs past the cap (default 0 = unbounded). --registry-dir DIR
+order (default 4). --registry-budget BYTES caps the heap bytes held by
+registered graphs, evicting least-recently used graphs past the cap
+(default 0 = unbounded). --registry-dir DIR
 pre-loads every edge-list file in DIR (graph name = file stem) before
 serving. --metrics-interval SECS prints a metrics snapshot line to
 stderr every SECS seconds (a final snapshot is always printed on

@@ -130,14 +130,11 @@ pub struct ServeMetrics {
     bytes_read: Counter,
     /// Response-line bytes written, newlines included.
     bytes_written: Counter,
-    /// Approximate resident bytes of all registered graph snapshots and
-    /// cached predict indexes — the byte-budget charge, maintained
-    /// *eagerly* by the registry (charged on register/index build,
-    /// released on evict/mutate), never recomputed at report time.
+    /// Heap bytes of all registered graphs — the byte-budget charge,
+    /// maintained *eagerly* by the registry (charged on register,
+    /// recharged on mutate, released on evict), never recomputed at
+    /// report time.
     registry_bytes: Gauge,
-    /// How many graphs currently hold a built double-cover predict
-    /// index (eager, like `registry_bytes`).
-    predict_indexes: Gauge,
     /// The registry byte budget; 0 = unbounded.
     registry_budget: Gauge,
     /// Graphs evicted (LRU pressure and explicit `Evict` both count).
@@ -168,7 +165,6 @@ impl ServeMetrics {
             bytes_read: Counter::new(),
             bytes_written: Counter::new(),
             registry_bytes: Gauge::new(),
-            predict_indexes: Gauge::new(),
             registry_budget: Gauge::new(),
             evictions: Counter::new(),
             pool_workers: Gauge::new(),
@@ -210,8 +206,8 @@ impl ServeMetrics {
         self.bytes_written.add(n);
     }
 
-    /// Charges `bytes` of graph/index footprint against the registry
-    /// gauge — called when a snapshot is registered or an index built.
+    /// Charges `bytes` of graph footprint against the registry gauge —
+    /// called when a graph is registered or a mutation recharges it.
     pub fn charge_registry(&self, bytes: u64) {
         self.registry_bytes.add(bytes);
     }
@@ -222,20 +218,10 @@ impl ServeMetrics {
         self.registry_bytes.sub(bytes);
     }
 
-    /// Approximate resident bytes currently charged.
+    /// Heap bytes currently charged.
     #[must_use]
     pub fn registry_bytes(&self) -> u64 {
         self.registry_bytes.get()
-    }
-
-    /// Counts one predict index built.
-    pub fn index_built(&self) {
-        self.predict_indexes.add(1);
-    }
-
-    /// Counts one predict index dropped (mutate or eviction).
-    pub fn index_dropped(&self) {
-        self.predict_indexes.sub(1);
     }
 
     /// Records the configured byte budget (0 = unbounded) so reports
@@ -318,7 +304,6 @@ impl ServeMetrics {
             bytes_read: self.bytes_read.get(),
             bytes_written: self.bytes_written.get(),
             registry_bytes: self.registry_bytes.get(),
-            predict_indexes: self.predict_indexes.get(),
             registry_budget_bytes: self.registry_budget.get(),
             evictions_total: self.evictions.get(),
             pool_workers: self.pool_workers.get(),
@@ -380,16 +365,11 @@ mod tests {
         metrics.charge_registry(4096);
         metrics.charge_registry(1024);
         metrics.uncharge_registry(1024);
-        metrics.index_built();
-        metrics.index_built();
-        metrics.index_built();
-        metrics.index_dropped();
         let report = metrics.report(0, 0);
         assert_eq!(report.connections, 2);
         assert_eq!(report.bytes_read, 100);
         assert_eq!(report.bytes_written, 42);
         assert_eq!(report.registry_bytes, 4096);
-        assert_eq!(report.predict_indexes, 2);
     }
 
     #[test]

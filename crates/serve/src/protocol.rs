@@ -69,8 +69,8 @@ pub enum Request {
         spec: GraphSpec,
     },
     /// Exact-time oracle predictions for source sets on a registered
-    /// graph — answered from the cached per-graph double-cover index
-    /// (built lazily on the first `Predict`, reused until a `Mutate`).
+    /// graph — one parity BFS on the current snapshot per set
+    /// ([`af_core::theory::predict_summary`]).
     Predict {
         /// The registered graph to query.
         graph: String,
@@ -116,15 +116,15 @@ pub enum Request {
     /// Apply topology edits to a registered graph, in batch order. The
     /// graph's node-id space evolves exactly as
     /// [`af_graph::dynamic::DeltaGraph::apply`] documents (departed ids
-    /// retire, joins append); the cached predict index is invalidated.
+    /// retire, joins append).
     Mutate {
         /// The registered graph to edit.
         graph: String,
         /// Edit batches, applied atomically one after another.
         deltas: Vec<GraphDelta>,
     },
-    /// Explicitly remove a registered graph (and its cached predict
-    /// index) from the registry, freeing its budget charge. Later
+    /// Explicitly remove a registered graph from the registry, freeing
+    /// its budget charge. Later
     /// requests for the name answer the stable `not_found` code until a
     /// re-`Load`/`Gen`.
     Evict {
@@ -181,12 +181,9 @@ pub enum Response {
     Evicted {
         /// The evicted graph's name.
         name: String,
-        /// Approximate bytes released (graph snapshot plus any cached
-        /// predict index), as charged against the registry budget.
+        /// Heap bytes released (the graph's CSR arrays plus its
+        /// departed-id list), as charged against the registry budget.
         bytes_freed: u64,
-        /// Whether a cached predict index was dropped along with the
-        /// graph.
-        index_dropped: bool,
     },
     /// A `Mutate` succeeded: what the batches did and the graph's new
     /// shape.
@@ -247,10 +244,11 @@ pub struct VerbCount {
 /// The full daemon metrics snapshot returned by [`Request::Metrics`]
 /// and flushed to stderr as the final line when the daemon drains.
 ///
-/// Latency quantiles are upper bounds of power-of-two buckets (within
-/// 2× of the true value); `max_us` is exact. The footprint gauges are
-/// maintained eagerly by every register / index build / mutate / evict,
-/// so a report is a pure read — it never walks the registry.
+/// Latency quantiles are upper bounds of power-of-two buckets clamped to
+/// `max_us` (within 2× of the true value, never above the max); `max_us`
+/// is exact. The footprint gauge is maintained eagerly by every register
+/// / mutate / evict, so a report is a pure read — it never walks the
+/// registry.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct MetricsReport {
     /// Whole seconds since the daemon's registry came up.
@@ -265,13 +263,10 @@ pub struct MetricsReport {
     pub bytes_read: u64,
     /// Response-line bytes written, newlines included.
     pub bytes_written: u64,
-    /// Approximate resident bytes of all registered graph snapshots
-    /// *and* their cached predict indexes — the charge the byte budget
-    /// compares against, maintained eagerly on every register / index
-    /// build / mutate / evict.
+    /// Heap bytes of all registered graphs (CSR arrays plus departed-id
+    /// lists) — the charge the byte budget compares against, maintained
+    /// eagerly on every register / mutate / evict.
     pub registry_bytes: u64,
-    /// Graphs currently holding a built double-cover predict index.
-    pub predict_indexes: u64,
     /// The registry byte budget (`--registry-budget`); 0 = unbounded.
     pub registry_budget_bytes: u64,
     /// Graphs evicted over the daemon's lifetime (LRU and explicit
@@ -294,11 +289,12 @@ pub struct VerbStat {
     pub verb: String,
     /// Requests answered under that verb (errors included).
     pub count: u64,
-    /// Median latency, µs (bucket upper bound; 0 when unused).
+    /// Median latency, µs (bucket upper bound clamped to `max_us`; 0
+    /// when unused).
     pub p50_us: u64,
-    /// 90th-percentile latency, µs (bucket upper bound).
+    /// 90th-percentile latency, µs (same bound).
     pub p90_us: u64,
-    /// 99th-percentile latency, µs (bucket upper bound).
+    /// 99th-percentile latency, µs (same bound).
     pub p99_us: u64,
     /// Largest observed latency, µs (exact).
     pub max_us: u64,
@@ -313,9 +309,6 @@ pub struct GraphInfo {
     pub nodes: usize,
     /// Current edge count.
     pub edges: usize,
-    /// Whether the double-cover predict index is currently built (it
-    /// appears on the first `Predict` and disappears on `Mutate`).
-    pub indexed: bool,
     /// `Mutate` batches applied over the graph's lifetime.
     pub mutations: u64,
 }
@@ -439,14 +432,12 @@ mod tests {
                     name: "g".into(),
                     nodes: 10,
                     edges: 15,
-                    indexed: true,
                     mutations: 2,
                 }],
             }),
             Response::Evicted {
                 name: "g".into(),
                 bytes_freed: 4096,
-                index_dropped: true,
             },
             Response::Metrics(MetricsReport {
                 uptime_secs: 12,
@@ -456,7 +447,6 @@ mod tests {
                 bytes_read: 900,
                 bytes_written: 1800,
                 registry_bytes: 4096,
-                predict_indexes: 1,
                 registry_budget_bytes: 1 << 20,
                 evictions_total: 2,
                 pool_workers: 4,

@@ -1,7 +1,13 @@
 //! The graph registry: named graphs loaded once, shared by every
-//! connection, mutated in place, with a lazily built predict index per
-//! graph — and, when a byte budget is configured, a least-recently-used
-//! eviction policy that keeps the total charged footprint under it.
+//! connection, mutated in place — and, when a byte budget is configured,
+//! a least-recently-used eviction policy that keeps the total charged
+//! footprint under it.
+//!
+//! An entry holds one copy of its graph and nothing derived from it.
+//! `Predict` runs [`af_core::theory::predict_summary`], a parity BFS on
+//! the snapshot whose buffers live only as long as the request; `Mutate`
+//! resumes a [`af_graph::dynamic::DeltaGraph`] overlay from the snapshot
+//! on demand and keeps only the rebuilt CSR.
 //!
 //! Locking layout, coarsest to finest:
 //!
@@ -11,37 +17,32 @@
 //!   floods.
 //! - Each [`GraphEntry`] keeps an `Arc<Graph>` **snapshot** behind its
 //!   own `RwLock`. Floods and predictions clone the `Arc` and drop the
-//!   lock before doing any work, so arbitrarily slow floods never hold a
-//!   lock; `Mutate` builds the next snapshot under the entry's
-//!   [`DeltaGraph`] mutex and swaps it in atomically.
-//! - The per-graph [`PredictIndex`] sits behind a mutex: the double
-//!   cover is built once on the first `Predict` and every later query is
-//!   a zero-allocation BFS on the warm index, until a `Mutate`
-//!   invalidates it. Queries on one graph serialize (the index's scratch
-//!   is reused); queries on different graphs run concurrently.
+//!   lock before doing any work, so arbitrarily slow requests never hold
+//!   a lock; `Mutate` builds the next snapshot under the entry's
+//!   `departed` mutex (which serializes mutations) and swaps it in
+//!   atomically.
 //!
-//! Lock-order rule for the budget machinery: a thread holding an
-//! entry-level lock (`delta`, `index`) must **release it before**
-//! touching the registry map — eviction walks the map under the write
-//! lock and then takes victims' entry locks, so the opposite nesting
-//! would be an ABBA deadlock. Handlers therefore finish their entry-level
-//! work, drop the guards, and only then call `Registry::enforce_budget`.
-//! The per-entry [`Charges`] mutex is the innermost leaf of the order
-//! (`index` → `charges` is allowed; `charges` is never held while taking
-//! any other lock).
+//! Lock-order rule for the budget machinery: a thread holding the
+//! entry-level `departed` lock must **release it before** touching the
+//! registry map — eviction walks the map under the write lock and then
+//! takes victims' ledgers, so the opposite nesting would be an ABBA
+//! deadlock. Handlers therefore finish their entry-level work, drop the
+//! guard, and only then call `Registry::enforce_budget`. The per-entry
+//! [`Charges`] mutex is the innermost leaf of the order (`departed` →
+//! `charges` is allowed; `charges` is never held while taking any other
+//! lock).
 //!
-//! Byte accounting is **eager and transactional**: every snapshot and
-//! index charges its approximate footprint
-//! ([`approx_graph_bytes`]/[`approx_index_bytes`]) into the shared
-//! [`ServeMetrics`] gauge when it is created and releases it when it is
-//! dropped, so a `Metrics` report is a pure read. Each entry's charges
-//! and its `dead` flag live in one [`Charges`] ledger behind one mutex,
-//! so every charge/release pair is observed atomically: an entry evicted
-//! while another thread still holds its `Arc` is flagged dead under the
-//! lock, and whichever side charges afterwards (the in-flight index
-//! build, the mutate recharge) sees the flag in the same critical
-//! section and takes its own charge back — every interleaving is a total
-//! order, and the gauge balances.
+//! Byte accounting is **eager, exact, and transactional**: each entry
+//! charges the real heap bytes of its snapshot and departed ids
+//! ([`Graph::heap_bytes`] plus the id vector's capacity) into the shared
+//! [`ServeMetrics`] gauge when it is created and releases them when it is
+//! dropped, so a `Metrics` report is a pure read. Each entry's charge and
+//! its `dead` flag live in one [`Charges`] ledger behind one mutex, so
+//! every charge/release pair is observed atomically: an entry evicted
+//! while a `Mutate` still holds its `Arc` is flagged dead under the lock,
+//! and the mutate's recharge sees the flag in the same critical section
+//! and stays uncharged — every interleaving is a total order, and the
+//! gauge balances.
 
 use std::collections::{BTreeMap, BTreeSet};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -49,7 +50,7 @@ use std::sync::Arc;
 use std::time::Instant;
 
 use af_core::api::{code, ErrorResponse};
-use af_core::theory::{PredictIndex, PredictSummary};
+use af_core::theory::{self, PredictSummary};
 use af_graph::dynamic::{DeltaGraph, GraphDelta};
 use af_graph::{Graph, NodeId};
 use parking_lot::{Mutex, RwLock};
@@ -57,17 +58,18 @@ use parking_lot::{Mutex, RwLock};
 use crate::metrics::{ServeMetrics, Verb};
 use crate::protocol::{GraphInfo, MetricsReport, Request, Response, ServerStats};
 
-/// One registered graph and its cached derived state.
+/// One registered graph: its current snapshot, the ids its mutations
+/// retired, and its budget ledger.
 #[derive(Debug)]
 pub struct GraphEntry {
-    /// The evolving topology; `Mutate` applies batches under this lock.
-    delta: Mutex<DeltaGraph>,
     /// Immutable snapshot of the current topology, swapped after each
     /// mutation. Readers clone the `Arc` and work lock-free.
     snapshot: RwLock<Arc<Graph>>,
-    /// Lazily built double-cover oracle over the current snapshot;
-    /// `None` until the first `Predict` and again after every `Mutate`.
-    index: Mutex<Option<PredictIndex>>,
+    /// Node ids retired by `Mutate` leaves — the one piece of overlay
+    /// state the snapshot cannot give back (a departed node and an
+    /// isolated live node look the same in the CSR). Empty unless a
+    /// mutation retired nodes; its lock serializes `Mutate`s.
+    departed: Mutex<Vec<NodeId>>,
     /// `Mutate` batches applied over this graph's lifetime.
     mutations: AtomicU64,
     /// LRU timestamp: the registry clock value of the last touch.
@@ -76,30 +78,32 @@ pub struct GraphEntry {
     charges: Mutex<Charges>,
 }
 
-/// One entry's budget-accounting ledger. A single mutex guards both
-/// charges and the `dead` flag, so "am I still resident?" and "what do
-/// I owe?" are always answered together — the guarantee the previous
-/// lock-free version needed `SeqCst` store-load fences for. The mutex
-/// is the innermost leaf of the lock order: held for a few word-sized
-/// reads and writes, never while acquiring any other lock.
+/// One entry's budget-accounting ledger. A single mutex guards both the
+/// charge and the `dead` flag, so "am I still resident?" and "what do I
+/// owe?" are always answered together. The mutex is the innermost leaf
+/// of the lock order: held for a few word-sized reads and writes, never
+/// while acquiring any other lock.
 #[derive(Debug, Default)]
 struct Charges {
-    /// Bytes currently charged for the snapshot (0 after release).
-    graph: u64,
-    /// Bytes currently charged for the predict index (0 when unbuilt or
-    /// released).
-    index: u64,
-    /// Set when the entry leaves the map (eviction or replacement);
-    /// in-flight work observes it and takes its own charge back.
+    /// Heap bytes currently charged for the snapshot and departed ids
+    /// (0 after release).
+    bytes: u64,
+    /// Set when the entry leaves the map (eviction or replacement); an
+    /// in-flight `Mutate` observes it and leaves its recharge undone.
     dead: bool,
+}
+
+/// The exact heap an entry charges: its snapshot's CSR arrays plus the
+/// capacity of its departed-id vector.
+fn entry_bytes(graph: &Graph, departed: &Vec<NodeId>) -> u64 {
+    (graph.heap_bytes() + departed.capacity() * std::mem::size_of::<NodeId>()) as u64
 }
 
 impl GraphEntry {
     fn new(graph: Graph) -> Self {
         GraphEntry {
-            delta: Mutex::new(DeltaGraph::new(&graph)),
             snapshot: RwLock::new(Arc::new(graph)),
-            index: Mutex::new(None),
+            departed: Mutex::new(Vec::new()),
             mutations: AtomicU64::new(0),
             last_used: AtomicU64::new(0),
             charges: Mutex::new(Charges::default()),
@@ -121,7 +125,7 @@ impl GraphEntry {
 #[derive(Debug, Default)]
 pub struct Registry {
     graphs: RwLock<BTreeMap<String, Arc<GraphEntry>>>,
-    /// Byte budget for snapshots + indexes; 0 = unbounded.
+    /// Byte budget for the entries' heap; 0 = unbounded.
     budget: u64,
     /// Monotonic LRU clock; every touch takes the next tick.
     clock: AtomicU64,
@@ -141,11 +145,10 @@ impl Registry {
         Registry::with_budget(0)
     }
 
-    /// An empty registry with a byte budget for graph snapshots plus
-    /// predict indexes (`0` = unbounded). When an admission would push
-    /// the charged total over the budget, least-recently-used graphs
-    /// are evicted until it fits; a single graph (or graph + its own
-    /// index) larger than the whole budget is rejected with
+    /// An empty registry with a byte budget for the graphs' heap (`0` =
+    /// unbounded). When an admission would push the charged total over
+    /// the budget, least-recently-used graphs are evicted until it fits;
+    /// a single graph larger than the whole budget is rejected with
     /// [`code::OVER_BUDGET`].
     #[must_use]
     pub fn with_budget(budget: u64) -> Self {
@@ -234,8 +237,8 @@ impl Registry {
 
     /// The full metrics snapshot behind the `Metrics` verb and the
     /// final stderr flush. A pure read: the footprint gauges are
-    /// maintained eagerly by every register / index build / mutate /
-    /// evict, so nothing walks the registry here.
+    /// maintained eagerly by every register / mutate / evict, so nothing
+    /// walks the registry here.
     pub fn metrics_report(&self) -> MetricsReport {
         self.metrics.report(
             self.requests.load(Ordering::Relaxed),
@@ -298,12 +301,12 @@ impl Registry {
     }
 
     fn register(&self, name: &str, graph: Graph) -> Result<Response, ErrorResponse> {
-        let bytes = approx_graph_bytes(&graph);
+        let bytes = graph.heap_bytes() as u64;
         if self.budget > 0 && bytes > self.budget {
             return Err(ErrorResponse::new(
                 code::OVER_BUDGET,
                 format!(
-                    "graph '{name}' needs ~{bytes} bytes, over the {}-byte registry budget",
+                    "graph '{name}' needs {bytes} bytes, over the {}-byte registry budget",
                     self.budget
                 ),
             ));
@@ -311,7 +314,7 @@ impl Registry {
         let nodes = graph.node_count();
         let edges = graph.edge_count();
         let entry = Arc::new(GraphEntry::new(graph));
-        entry.charges.lock().graph = bytes;
+        entry.charges.lock().bytes = bytes;
         self.metrics.charge_registry(bytes);
         self.touch(&entry);
         let replaced = self.graphs.write().insert(name.to_owned(), entry);
@@ -329,27 +332,18 @@ impl Registry {
         })
     }
 
-    /// Flags `entry` dead and takes back its outstanding charges in one
-    /// critical section, then drops its index. In-flight work that
-    /// charges after this observes the flag under the same lock and
-    /// takes its own charge back, so each charge is released exactly
-    /// once. (The charges lock is released before taking the index
-    /// lock — the ledger is the innermost leaf of the lock order.)
-    fn release_entry(&self, entry: &GraphEntry) -> (u64, bool) {
-        let (graph_bytes, index_bytes) = {
+    /// Flags `entry` dead and takes back its outstanding charge in one
+    /// critical section. A `Mutate` that recharges after this observes
+    /// the flag under the same lock and stays uncharged, so each charge
+    /// is released exactly once. Returns the bytes released.
+    fn release_entry(&self, entry: &GraphEntry) -> u64 {
+        let bytes = {
             let mut charges = entry.charges.lock();
             charges.dead = true;
-            (
-                std::mem::take(&mut charges.graph),
-                std::mem::take(&mut charges.index),
-            )
+            std::mem::take(&mut charges.bytes)
         };
-        let index_dropped = entry.index.lock().take().is_some();
-        if index_bytes > 0 {
-            self.metrics.index_dropped();
-        }
-        self.metrics.uncharge_registry(graph_bytes + index_bytes);
-        (graph_bytes + index_bytes, index_dropped)
+        self.metrics.uncharge_registry(bytes);
+        bytes
     }
 
     /// Evicts least-recently-used graphs (never `keep`) until the
@@ -388,13 +382,12 @@ impl Registry {
             // Same error split as entry(): evicted-before vs never.
             return Err(self.missing_error(name));
         };
-        let (bytes_freed, index_dropped) = self.release_entry(&entry);
+        let bytes_freed = self.release_entry(&entry);
         self.metrics.eviction();
         self.evicted.lock().insert(name.to_owned());
         Ok(Response::Evicted {
             name: name.to_owned(),
             bytes_freed,
-            index_dropped,
         })
     }
 
@@ -414,52 +407,10 @@ impl Registry {
                 ));
             }
         }
-        let predictions = {
-            let mut guard = entry.index.lock();
-            if guard.is_none() {
-                let cost = approx_index_bytes(&snapshot);
-                let own = entry.charges.lock().graph;
-                if self.budget > 0 && own + cost > self.budget {
-                    return Err(ErrorResponse::new(
-                        code::OVER_BUDGET,
-                        format!(
-                            "graph '{name}' plus its predict index needs ~{} bytes, \
-                             over the {}-byte registry budget",
-                            own + cost,
-                            self.budget
-                        ),
-                    ));
-                }
-                *guard = Some(PredictIndex::new(&snapshot));
-                entry.charges.lock().index = cost;
-                self.metrics.charge_registry(cost);
-                self.metrics.index_built();
-            }
-            // Ensured `Some` just above, so the closure never runs —
-            // it only keeps this lookup panic-free.
-            let index = guard.get_or_insert_with(|| PredictIndex::new(&snapshot));
-            let predictions: Vec<PredictSummary> = source_sets
-                .iter()
-                .map(|set| index.summary(set.iter().copied().map(NodeId::new)))
-                .collect();
-            // The entry may have been evicted while we were building;
-            // take our charge back (and the now-orphaned index with it)
-            // so the gauge balances. The answer itself is still valid —
-            // it was computed on a consistent snapshot.
-            let mut charges = entry.charges.lock();
-            if charges.dead {
-                let charged = std::mem::take(&mut charges.index);
-                drop(charges);
-                if charged > 0 {
-                    self.metrics.uncharge_registry(charged);
-                    self.metrics.index_dropped();
-                }
-                *guard = None;
-            }
-            predictions
-        };
-        // Entry locks are released; now it is safe to take the map lock.
-        self.enforce_budget(name);
+        let predictions: Vec<PredictSummary> = source_sets
+            .iter()
+            .map(|set| theory::predict_summary(&snapshot, set.iter().copied().map(NodeId::new)))
+            .collect();
         Ok(Response::Predicted { predictions })
     }
 
@@ -505,11 +456,12 @@ impl Registry {
         let entry = self.entry(name)?;
         self.touch(&entry);
         let (nodes, edges, edits_applied, edits_skipped) = {
-            let mut delta = entry.delta.lock();
+            let mut departed = entry.departed.lock();
+            let mut overlay = DeltaGraph::from_snapshot(entry.snapshot(), &departed);
             let mut edits_applied = 0;
             let mut edits_skipped = 0;
             for batch in deltas {
-                let applied = delta.apply(batch);
+                let applied = overlay.apply(batch);
                 edits_applied += applied.edges_deleted
                     + applied.edges_inserted
                     + applied.nodes_left
@@ -519,42 +471,31 @@ impl Registry {
             entry
                 .mutations
                 .fetch_add(deltas.len() as u64, Ordering::Relaxed);
-            // Publish the new topology and drop the stale oracle while
-            // still holding the delta lock, so a racing Predict can never
-            // cache an index over the old snapshot after the swap.
-            let nodes = delta.node_count();
-            let edges = delta.edge_count();
-            let new_snapshot = Arc::new(delta.graph().clone());
-            let new_bytes = approx_graph_bytes(&new_snapshot);
-            *entry.snapshot.write() = new_snapshot;
-            {
-                let mut guard = entry.index.lock();
-                if guard.take().is_some() {
-                    self.metrics.index_dropped();
-                }
-                let stale = std::mem::take(&mut entry.charges.lock().index);
-                self.metrics.uncharge_registry(stale);
-            }
-            // Recharge the snapshot at its new size. Mutate never
-            // rejects on budget (clients grow graphs in place); if the
-            // result alone exceeds the budget it stays resident as the
+            *departed = overlay.departed_nodes().collect();
+            // Publish the new topology while still holding the departed
+            // lock, so mutations apply in one total order.
+            let snapshot = overlay.into_graph();
+            let (nodes, edges) = (snapshot.node_count(), snapshot.edge_count());
+            let new_bytes = entry_bytes(&snapshot, &departed);
+            *entry.snapshot.write() = snapshot;
+            // Recharge the entry at its new size. Mutate never rejects
+            // on budget (clients grow graphs in place); if the result
+            // alone exceeds the budget it stays resident as the
             // documented escape hatch — everything else gets evicted.
             // One critical section decides old charge, new charge, and
             // the eviction race: a dead entry simply stays uncharged.
             let (old, recharged) = {
                 let mut charges = entry.charges.lock();
-                let old = std::mem::take(&mut charges.graph);
+                let old = std::mem::take(&mut charges.bytes);
                 if charges.dead {
                     (old, 0)
                 } else {
-                    charges.graph = new_bytes;
+                    charges.bytes = new_bytes;
                     (old, new_bytes)
                 }
             };
             self.metrics.uncharge_registry(old);
-            if recharged > 0 {
-                self.metrics.charge_registry(recharged);
-            }
+            self.metrics.charge_registry(recharged);
             (nodes, edges, edits_applied, edits_skipped)
         };
         // Entry locks are released; now it is safe to take the map lock.
@@ -570,9 +511,8 @@ impl Registry {
 
     fn stats(&self) -> ServerStats {
         // Clone the entries out under the read lock, then inspect them
-        // unlocked: taking entry locks while holding the map lock is the
-        // evictor's nesting order, and holding the map lock through
-        // per-entry mutex waits would stall every other request.
+        // unlocked: holding the map lock through per-entry lock waits
+        // would stall every other request.
         let entries: Vec<(String, Arc<GraphEntry>)> = self
             .graphs
             .read()
@@ -587,7 +527,6 @@ impl Registry {
                     name,
                     nodes: snapshot.node_count(),
                     edges: snapshot.edge_count(),
-                    indexed: entry.index.lock().is_some(),
                     mutations: entry.mutations.load(Ordering::Relaxed),
                 }
             })
@@ -602,27 +541,6 @@ impl Registry {
             graphs,
         }
     }
-}
-
-/// Approximate resident bytes of one graph snapshot: the CSR adjacency
-/// is two directed arcs per edge plus an offset per node, each a
-/// machine word. A monitoring estimate, not an allocator audit — but a
-/// *deterministic* one, so tests can recompute the budget charge.
-#[must_use]
-pub fn approx_graph_bytes(graph: &Graph) -> u64 {
-    let word = std::mem::size_of::<usize>() as u64;
-    (2 * graph.edge_count() as u64 + graph.node_count() as u64 + 1) * word
-}
-
-/// Approximate resident bytes of one graph's predict index: the double
-/// cover is itself a CSR graph over `2n` nodes and `2m` edges, plus two
-/// `u32` scratch arrays (`dist`, `mark`) over the cover's nodes.
-#[must_use]
-pub fn approx_index_bytes(graph: &Graph) -> u64 {
-    let word = std::mem::size_of::<usize>() as u64;
-    let n = graph.node_count() as u64;
-    let m = graph.edge_count() as u64;
-    (4 * m + 2 * n + 1) * word + 16 * n
 }
 
 #[cfg(test)]
@@ -699,7 +617,7 @@ mod tests {
     }
 
     #[test]
-    fn predict_matches_the_free_oracle_and_caches_the_index() {
+    fn predict_matches_the_free_oracle() {
         let registry = registry_with("g", GraphSpec::Grid { rows: 4, cols: 5 });
         let g = GraphSpec::Grid { rows: 4, cols: 5 }.build();
         let sets = vec![vec![0], vec![3, 17], vec![0, 1, 2]];
@@ -715,8 +633,6 @@ mod tests {
             assert_eq!(summary.termination_round, free.termination_round());
             assert_eq!(summary.total_messages, free.total_messages());
         }
-        let stats = registry.stats();
-        assert!(stats.graphs[0].indexed, "index caches after first predict");
     }
 
     #[test]
@@ -759,13 +675,12 @@ mod tests {
     }
 
     #[test]
-    fn mutate_updates_topology_and_invalidates_the_index() {
+    fn mutate_updates_topology() {
         let registry = registry_with("g", GraphSpec::Cycle { n: 4 });
         let before = registry.execute(&Request::Predict {
             graph: "g".into(),
             source_sets: vec![vec![0]],
         });
-        assert!(registry.stats().graphs[0].indexed);
 
         // Delete one cycle edge: C_4 becomes P_4, eccentricity grows.
         let resp = registry.execute(&Request::Mutate {
@@ -786,7 +701,6 @@ mod tests {
             }
         );
         let stats = registry.stats();
-        assert!(!stats.graphs[0].indexed, "mutation drops the index");
         assert_eq!(stats.graphs[0].mutations, 1);
 
         let after = registry.execute(&Request::Predict {
@@ -828,6 +742,47 @@ mod tests {
     }
 
     #[test]
+    fn departed_nodes_stay_departed_across_mutates() {
+        let registry = registry_with("g", GraphSpec::Path { n: 4 });
+        let mutate = |delta: GraphDelta| {
+            registry.execute(&Request::Mutate {
+                graph: "g".into(),
+                deltas: vec![delta],
+            })
+        };
+        // Node 3 leaves: it stays in the id space as an isolated node.
+        let resp = mutate(GraphDelta {
+            leave_nodes: vec![3],
+            ..GraphDelta::default()
+        });
+        assert_eq!(
+            resp,
+            Response::Mutated {
+                name: "g".into(),
+                nodes: 4,
+                edges: 2,
+                edits_applied: 2,
+                edits_skipped: 0,
+            }
+        );
+        // A later Mutate must still see it departed, not merely isolated.
+        let resp = mutate(GraphDelta {
+            insert_edges: vec![(3, 0)],
+            ..GraphDelta::default()
+        });
+        assert_eq!(
+            resp,
+            Response::Mutated {
+                name: "g".into(),
+                nodes: 4,
+                edges: 2,
+                edits_applied: 0,
+                edits_skipped: 1,
+            }
+        );
+    }
+
+    #[test]
     fn metrics_verb_reports_per_verb_counts_and_gauges() {
         let registry = registry_with("g", GraphSpec::Cycle { n: 6 });
         for _ in 0..2 {
@@ -850,14 +805,10 @@ mod tests {
         // Gen + 3 Predicts + this Metrics.
         assert_eq!(report.requests_total, 5);
         assert_eq!(report.errors_total, 1);
-        assert_eq!(report.predict_indexes, 1, "the predicts built g's index");
-        // Eager accounting: the gauge carries exactly the graph charge
-        // plus the index charge, no report-time recompute involved.
+        // Eager accounting: the gauge carries exactly the graph's heap,
+        // no report-time recompute involved; Predicts charge nothing.
         let g = GraphSpec::Cycle { n: 6 }.build();
-        assert_eq!(
-            report.registry_bytes,
-            approx_graph_bytes(&g) + approx_index_bytes(&g)
-        );
+        assert_eq!(report.registry_bytes, g.heap_bytes() as u64);
         assert_eq!(report.registry_budget_bytes, 0, "unbounded by default");
         assert_eq!(report.evictions_total, 0);
         let count = |name: &str| report.verbs.iter().find(|v| v.verb == name).unwrap().count;
@@ -896,7 +847,7 @@ mod tests {
         assert_eq!(stats.graphs[0].edges, 10);
         // The replaced graph's charge was released, the new one charged.
         let k5 = GraphSpec::Complete { n: 5 }.build();
-        assert_eq!(registry.metrics().registry_bytes(), approx_graph_bytes(&k5));
+        assert_eq!(registry.metrics().registry_bytes(), k5.heap_bytes() as u64);
     }
 
     #[test]
@@ -914,14 +865,11 @@ mod tests {
             resp,
             Response::Evicted {
                 name: "g".into(),
-                bytes_freed: approx_graph_bytes(&g) + approx_index_bytes(&g),
-                index_dropped: true,
+                bytes_freed: g.heap_bytes() as u64,
             }
         );
         assert_eq!(registry.metrics().registry_bytes(), 0);
         assert_eq!(registry.metrics().evictions_total(), 1);
-        let report = registry.metrics_report();
-        assert_eq!(report.predict_indexes, 0, "the index gauge fell eagerly");
 
         // Evicted names are distinguishable from never-registered ones.
         let resp = registry.execute(&Request::Flood {
@@ -963,7 +911,7 @@ mod tests {
     #[test]
     fn budget_evicts_least_recently_used_graphs() {
         let spec = GraphSpec::Cycle { n: 50 };
-        let one = approx_graph_bytes(&spec.build());
+        let one = spec.build().heap_bytes() as u64;
         // Room for two cycles but not three.
         let registry = Registry::with_budget(2 * one + one / 2);
         for name in ["a", "b", "c"] {
@@ -1008,7 +956,7 @@ mod tests {
 
     #[test]
     fn over_budget_admissions_are_rejected_with_the_stable_code() {
-        let small = approx_graph_bytes(&GraphSpec::Cycle { n: 10 }.build());
+        let small = GraphSpec::Cycle { n: 10 }.build().heap_bytes() as u64;
         let registry = Registry::with_budget(small);
         // A graph bigger than the whole budget is rejected outright.
         let resp = registry.execute(&Request::Gen {
@@ -1021,8 +969,8 @@ mod tests {
         assert_eq!(err.code, code::OVER_BUDGET);
         assert_eq!(registry.metrics().registry_bytes(), 0);
 
-        // A graph that fits alone but cannot fit its own index rejects
-        // the Predict (the graph stays resident).
+        // A graph that fills the budget exactly still serves Predicts:
+        // their BFS buffers are per request, not charged.
         let resp = registry.execute(&Request::Gen {
             name: "tight".into(),
             spec: GraphSpec::Cycle { n: 10 },
@@ -1032,12 +980,8 @@ mod tests {
             graph: "tight".into(),
             source_sets: vec![vec![0]],
         });
-        let Response::Error(err) = resp else {
-            panic!("expected error, got {resp:?}");
-        };
-        assert_eq!(err.code, code::OVER_BUDGET);
-        assert_eq!(registry.stats().graphs.len(), 1, "the graph survived");
-        assert!(!registry.stats().graphs[0].indexed);
+        assert!(matches!(resp, Response::Predicted { .. }), "{resp:?}");
+        assert_eq!(registry.metrics().registry_bytes(), small);
     }
 
     #[test]

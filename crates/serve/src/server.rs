@@ -57,7 +57,7 @@ pub struct ServerConfig {
     /// Worker threads shared by all connections for enveloped requests
     /// ([`DEFAULT_POOL`]; clamped to at least 1).
     pub pool: usize,
-    /// Registry byte budget for graph snapshots plus predict indexes;
+    /// Registry byte budget for the registered graphs' heap;
     /// 0 = unbounded. See [`Registry::with_budget`].
     pub registry_budget: u64,
 }

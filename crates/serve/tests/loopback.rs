@@ -200,7 +200,6 @@ fn concurrent_clients_get_bit_identical_answers_and_shutdown_drains() {
         assert!(report.registry_bytes > 0, "four graphs are resident");
         let predict = report.verbs.iter().find(|v| v.verb == "Predict").unwrap();
         assert_eq!(predict.count, 9);
-        assert!(predict.max_us > 0, "index builds take measurable time");
         // The PR-9 fields: this server is unbounded, bare requests never
         // touch the pool, and nothing has been evicted yet.
         assert_eq!(report.registry_budget_bytes, 0);
@@ -208,7 +207,6 @@ fn concurrent_clients_get_bit_identical_answers_and_shutdown_drains() {
         assert_eq!(report.pool_workers, 4, "the default pool");
         assert_eq!(report.pool_depth, 0);
         assert_eq!(report.pool_jobs_total, 0);
-        assert_eq!(report.predict_indexes, 4, "every graph ends indexed");
 
         // Eviction updates the gauges *eagerly*: `Metrics` is a pure
         // read of the counters, so the numbers must already be right the
@@ -218,16 +216,10 @@ fn concurrent_clients_get_bit_identical_answers_and_shutdown_drains() {
         let resp: Response =
             serde_json::from_str(&client.send(&Request::Evict { graph: "g3".into() }))
                 .expect("parse");
-        let Response::Evicted {
-            name,
-            bytes_freed,
-            index_dropped,
-        } = resp
-        else {
+        let Response::Evicted { name, bytes_freed } = resp else {
             panic!("expected Evicted, got {resp:?}");
         };
         assert_eq!(name, "g3");
-        assert!(index_dropped, "g3's post-mutate Predict left an index");
         assert!(bytes_freed > 0);
         let resp: Response = serde_json::from_str(&client.send(&Request::Metrics)).expect("parse");
         let Response::Metrics(after) = resp else {
@@ -235,7 +227,6 @@ fn concurrent_clients_get_bit_identical_answers_and_shutdown_drains() {
         };
         assert_eq!(after.registry_bytes, before.registry_bytes - bytes_freed);
         assert_eq!(after.evictions_total, 1);
-        assert_eq!(after.predict_indexes, 3);
         // A registered-then-evicted name is `not_found`, distinct from
         // the never-registered `unknown_graph`.
         let resp: Response = serde_json::from_str(&client.send(&Request::Flood {

@@ -9,8 +9,12 @@
 //! 3. evicting everything returns the gauge to exactly zero — every
 //!    charge taken is a charge released, so the accounting cannot
 //!    drift over a long-lived daemon's life; and
-//! 4. re-registering an evicted name rebuilds its predict index from
-//!    scratch, answering bit-identically to a fresh registry.
+//! 4. re-registering an evicted name answers predictions
+//!    bit-identically to a fresh registry.
+//!
+//! The budget is sized in real heap bytes ([`Graph::heap_bytes`]), the
+//! unit the registry charges; `tests/heap_charge.rs` pins that charge to
+//! a counting allocator.
 //!
 //! The ops run through `Registry::execute`, the same entry point the
 //! wire uses, so these properties are wire properties.
@@ -19,7 +23,7 @@ use std::collections::BTreeSet;
 
 use af_analysis::GraphSpec;
 use af_core::api::code;
-use af_serve::registry::{approx_graph_bytes, approx_index_bytes};
+use af_graph::Graph;
 use af_serve::{Registry, Request, Response};
 use proptest::prelude::*;
 
@@ -39,12 +43,12 @@ fn name(i: usize) -> String {
 /// generator path mix in one interleaving.
 const TRIANGLE: &str = "n 3\n0 1\n1 2\n2 0\n";
 
-/// A budget that fits about three of the largest graphs with their
-/// indexes: big enough that every single admission succeeds, small
-/// enough that interleavings actually evict.
+/// A budget that fits about three of the largest graphs: big enough
+/// that every single admission succeeds, small enough that
+/// interleavings actually evict.
 fn budget() -> u64 {
-    let largest = spec(NAME_COUNT - 1).build();
-    3 * (approx_graph_bytes(&largest) + approx_index_bytes(&largest))
+    let largest: Graph = spec(NAME_COUNT - 1).build();
+    3 * largest.heap_bytes() as u64
 }
 
 /// Names currently registered, straight from the public stats walk.
@@ -151,11 +155,10 @@ proptest! {
             prop_assert_eq!(registry.metrics().registry_bytes(), before - bytes_freed);
         }
         prop_assert_eq!(registry.metrics().registry_bytes(), 0, "all charges released");
-        prop_assert_eq!(registry.metrics_report().predict_indexes, 0, "all indexes released");
 
         // Property 4: a name that lived and died re-registers cleanly
-        // and its rebuilt predict index answers exactly like a fresh
-        // unbounded registry's.
+        // and answers predictions exactly like a fresh unbounded
+        // registry.
         if let Some(graph) = ever.first().cloned() {
             let probe = Request::Predict {
                 graph: graph.clone(),
@@ -171,7 +174,7 @@ proptest! {
             prop_assert_eq!(
                 serde_json::to_string(&registry.execute(&probe)).unwrap(),
                 serde_json::to_string(&reference.execute(&probe)).unwrap(),
-                "rebuilt index diverged for '{}'", graph
+                "re-registered graph diverged for '{}'", graph
             );
         }
     }

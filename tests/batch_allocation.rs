@@ -8,26 +8,41 @@
 //! The test installs a counting `#[global_allocator]` (this file is its
 //! own test binary, so the hook is invisible to every other suite) and
 //! asserts the allocation counter does not move across the second pass.
+//! The counter is per thread, so tests running in parallel under the
+//! default harness never count each other's allocations.
 
 use amnesiac_flooding::core::obs::{NdjsonTraceWriter, NoopProbe, SharedProbe};
 use amnesiac_flooding::core::{FloodBatch, FloodEngine, FloodStats};
 use amnesiac_flooding::graph::{generators, NodeId};
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::rc::Rc;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 mod common;
 use common::source_set_for;
 
-/// System allocator wrapper counting every `alloc`/`realloc` call.
+/// System allocator wrapper counting every `alloc`/`realloc` call made
+/// on the current thread.
 struct CountingAlloc;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_allocation() {
+    // `try_with`: the allocator may run while this thread's locals are
+    // being torn down; those calls belong to no test.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+/// Allocations made on this thread so far.
+fn allocations() -> u64 {
+    ALLOCATIONS.with(Cell::get)
+}
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.alloc(layout) }
     }
 
@@ -36,7 +51,7 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_allocation();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -66,7 +81,7 @@ fn warm_flood_batch_is_allocation_free_across_mixed_set_sizes() {
     }
 
     // Pass 2: identical floods, zero allocator traffic allowed.
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     let mut mismatches = 0usize;
     for (set, want) in source_sets.iter().zip(&expected) {
         let got = batch.run_from(set.iter().copied());
@@ -74,7 +89,7 @@ fn warm_flood_batch_is_allocation_free_across_mixed_set_sizes() {
             mismatches += 1;
         }
     }
-    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let delta = allocations() - before;
 
     assert_eq!(mismatches, 0, "reused batch diverged from warm-up results");
     assert_eq!(
@@ -86,7 +101,7 @@ fn warm_flood_batch_is_allocation_free_across_mixed_set_sizes() {
     assert!(expected.iter().all(FloodStats::terminated));
     assert!(expected.iter().all(|s| s.total_messages() > 0));
     let probe: Vec<u8> = vec![1, 2, 3];
-    assert!(ALLOCATIONS.load(Ordering::SeqCst) > before, "{probe:?}");
+    assert!(allocations() > before, "{probe:?}");
 }
 
 /// PR-8 observability contract: attaching a probe must not change the
@@ -113,12 +128,12 @@ fn warm_flood_with_noop_probe_is_allocation_free() {
     }
 
     // Pass 2: zero allocator traffic allowed.
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for (set, want) in source_sets.iter().zip(&expected) {
         let got = batch.run_from(set.iter().copied());
         assert_eq!(&got, want, "probed batch diverged from warm-up");
     }
-    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let delta = allocations() - before;
     assert_eq!(delta, 0, "no-op probe allocated {delta} times when warm");
 }
 
@@ -155,12 +170,12 @@ fn warm_traced_flood_is_allocation_free_and_deterministic() {
     assert!(!warm_trace.is_empty(), "warm-up floods produced traces");
 
     // Pass 2: identical floods, identical trace bytes, zero allocations.
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     for (set, want) in source_sets.iter().zip(&expected) {
         let got = batch.run_from(set.iter().copied());
         assert_eq!(&got, want, "traced batch diverged from warm-up");
     }
-    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let delta = allocations() - before;
     assert_eq!(delta, 0, "warm traced flood allocated {delta} times");
     assert_eq!(
         writer.borrow_mut().sink_mut().as_slice(),
@@ -190,9 +205,9 @@ fn warm_bitlane_batch_is_allocation_free_across_mixed_set_sizes() {
     // Pass 2: identical floods into a pre-sized output vector, zero
     // allocator traffic allowed.
     let mut got = Vec::with_capacity(source_sets.len());
-    let before = ALLOCATIONS.load(Ordering::SeqCst);
+    let before = allocations();
     batch.run_many_into(&source_sets, &mut got);
-    let delta = ALLOCATIONS.load(Ordering::SeqCst) - before;
+    let delta = allocations() - before;
 
     assert_eq!(got, expected, "reused bitlane batch diverged from warm-up");
     assert_eq!(
