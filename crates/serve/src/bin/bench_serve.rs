@@ -236,13 +236,17 @@ struct WireClient {
 impl WireClient {
     fn connect(addr: SocketAddr) -> WireClient {
         let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
         let reader = BufReader::new(stream.try_clone().expect("clone"));
         WireClient { stream, reader }
     }
 
     fn send(&mut self, line: &str) {
-        self.stream.write_all(line.as_bytes()).expect("write");
-        self.stream.write_all(b"\n").expect("write");
+        // One write per line: a trailing "\n" in its own segment waits
+        // for the daemon's delayed ACK under Nagle.
+        self.stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("write");
         self.stream.flush().expect("flush");
     }
 

@@ -22,6 +22,14 @@
 //! the drain ordering is structural: connection threads exit first, then
 //! the queue closes, then the workers finish every job accepted before
 //! the close — so a `Shutdown` racing queued work never loses a response.
+//!
+//! Write path: every response line — inline, pooled, `oversized` and
+//! `shutting_down` alike — is serialized straight into one buffer that
+//! already ends in its newline and goes out in a single `write_all`, and
+//! every accepted TCP connection sets `TCP_NODELAY`. A line split over two
+//! writes, or a last partial segment on a Nagle socket, would otherwise
+//! wait for the client's delayed ACK (at least 40 ms on Linux) before the
+//! client sees its newline.
 
 use std::collections::VecDeque;
 use std::io::{self, BufRead, BufReader, Write};
@@ -303,7 +311,7 @@ impl Server {
                 LineRead::Blank => continue,
                 LineRead::Oversized => {
                     let response = self.oversized();
-                    self.write_line(out, &serialize(&response))?;
+                    self.write_line(out, &serialize_line(&response))?;
                 }
                 LineRead::Line(line) => {
                     self.registry
@@ -375,6 +383,7 @@ impl Server {
     fn serve_connection(&self, stream: TcpStream, queue: &JobQueue<TcpStream>) -> io::Result<()> {
         self.registry.metrics().connection_opened();
         stream.set_read_timeout(Some(POLL_INTERVAL))?;
+        stream.set_nodelay(true)?;
         let reader = BufReader::new(stream.try_clone()?);
         let out = Arc::new(Mutex::new(stream));
         let mut lines = LineReader::new(reader, self.line_cap);
@@ -396,7 +405,7 @@ impl Server {
                 Ok(LineRead::Blank) => continue,
                 Ok(LineRead::Oversized) => {
                     let response = self.oversized();
-                    self.write_line(&out, &serialize(&response))?;
+                    self.write_line(&out, &serialize_line(&response))?;
                 }
                 Ok(LineRead::Line(line)) => {
                     self.registry
@@ -431,7 +440,7 @@ impl Server {
                 code::SHUTTING_DOWN,
                 "server is draining for shutdown",
             ));
-            return self.write_line(out, &serialize(&response));
+            return self.write_line(out, &serialize_line(&response));
         }
         match parse_line(line) {
             Parsed::Bare(request) => {
@@ -439,7 +448,7 @@ impl Server {
                     self.begin_shutdown();
                 }
                 let response = self.registry.execute(&request);
-                self.write_line(out, &serialize(&response))
+                self.write_line(out, &serialize_line(&response))
             }
             Parsed::Enveloped(id, request) => {
                 if matches!(request, Request::Shutdown) {
@@ -467,7 +476,7 @@ impl Server {
                 let response = self
                     .registry
                     .reject(ErrorResponse::new(code::BAD_REQUEST, message));
-                self.write_line(out, &serialize(&response))
+                self.write_line(out, &serialize_line(&response))
             }
         }
     }
@@ -492,22 +501,21 @@ impl Server {
 
     /// Serializes and writes one tagged response line.
     fn write_tagged<W: Write>(&self, out: &Mutex<W>, tagged: TaggedResponse) -> io::Result<()> {
-        let line = serialize(&tagged);
-        self.write_line(out, &line)
+        self.write_line(out, &serialize_line(&tagged))
     }
 
-    /// Writes one response line under the connection's writer mutex and
-    /// counts its bytes.
-    fn write_line<W: Write>(&self, out: &Mutex<W>, line: &str) -> io::Result<()> {
+    /// Writes one newline-terminated response line (a [`serialize_line`]
+    /// buffer) with a single `write_all` under the connection's writer
+    /// mutex, and counts its bytes. One write per line keeps the newline
+    /// out of a second segment that Nagle would hold back until the
+    /// client's delayed ACK.
+    fn write_line<W: Write>(&self, out: &Mutex<W>, line: &[u8]) -> io::Result<()> {
         {
             let mut writer = out.lock();
-            writer.write_all(line.as_bytes())?;
-            writer.write_all(b"\n")?;
+            writer.write_all(line)?;
             writer.flush()?;
         }
-        self.registry
-            .metrics()
-            .add_bytes_written(line.len() as u64 + 1);
+        self.registry.metrics().add_bytes_written(line.len() as u64);
         Ok(())
     }
 }
@@ -520,6 +528,14 @@ fn serialize<T: serde::Serialize>(value: &T) -> String {
         let msg = format!("serialization failed: {e}").replace(['"', '\\'], "'");
         format!("{{\"Error\":{{\"code\":\"bad_request\",\"message\":\"{msg}\"}}}}")
     })
+}
+
+/// [`serialize`] as a response line buffer, newline included, so the
+/// transport writes it with one `write_all`.
+fn serialize_line<T: serde::Serialize>(value: &T) -> Vec<u8> {
+    let mut line = serialize(value).into_bytes();
+    line.push(b'\n');
+    line
 }
 
 /// How one request line parsed.
@@ -775,6 +791,46 @@ mod tests {
             panic!("expected shutting_down error");
         };
         assert_eq!(err.code, code::SHUTTING_DOWN);
+    }
+
+    #[test]
+    fn every_response_line_is_one_write() {
+        // A sink that records each `write` call. A line split over two
+        // writes stalls on a Nagle socket until the peer's delayed ACK.
+        #[derive(Clone, Default)]
+        struct Recorder(Arc<StdMutex<Vec<Vec<u8>>>>);
+        impl Write for Recorder {
+            fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+                self.0.lock().unwrap().push(buf.to_vec());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> io::Result<()> {
+                Ok(())
+            }
+        }
+        let server = Server::default();
+        let input = "\"Stats\"\n{\"id\": 1, \"request\": \"Stats\"}\nnot json\n\"Shutdown\"\n";
+        let recorder = Recorder::default();
+        server
+            .serve_stdio(input.as_bytes(), recorder.clone())
+            .unwrap();
+        let writes: Vec<String> = recorder
+            .0
+            .lock()
+            .unwrap()
+            .iter()
+            .map(|w| String::from_utf8(w.clone()).unwrap())
+            .collect();
+        assert_eq!(writes.len(), 4, "one write per response line: {writes:?}");
+        for text in &writes {
+            let (line, rest) = text.split_once('\n').expect("a complete line");
+            assert!(rest.is_empty(), "one line per write: {text:?}");
+            let bare = serde_json::from_str::<Response>(line).is_ok();
+            let tagged = serde_json::from_str::<TaggedResponse>(line).is_ok();
+            assert!(bare || tagged, "not a response line: {line}");
+        }
+        let written: u64 = writes.iter().map(|w| w.len() as u64).sum();
+        assert_eq!(server.registry().metrics_report().bytes_written, written);
     }
 
     #[test]

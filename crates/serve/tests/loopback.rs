@@ -6,6 +6,7 @@
 
 use std::io::{BufRead, BufReader, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::time::{Duration, Instant};
 
 use af_analysis::GraphSpec;
 use af_core::api::{code, FloodRequest};
@@ -21,13 +22,17 @@ struct Client {
 impl Client {
     fn connect(addr: SocketAddr) -> Client {
         let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
         let reader = BufReader::new(stream.try_clone().expect("clone"));
         Client { stream, reader }
     }
 
     fn send_raw(&mut self, line: &str) -> String {
-        self.stream.write_all(line.as_bytes()).expect("write");
-        self.stream.write_all(b"\n").expect("write");
+        // One write per line: a trailing "\n" in its own segment waits
+        // for the daemon's delayed ACK under Nagle.
+        self.stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("write");
         self.stream.flush().expect("flush");
         let mut response = String::new();
         let n = self.reader.read_line(&mut response).expect("read");
@@ -285,5 +290,51 @@ fn post_shutdown_requests_on_open_connections_are_refused() {
             assert_eq!(err.code, code::SHUTTING_DOWN);
         }
         serving.join().expect("server thread").expect("serve_tcp");
+    });
+}
+
+/// The median of 32 timed round trips on `client`, request `i` being
+/// `line(i)`.
+fn median_round_trip(client: &mut Client, line: impl Fn(u64) -> String) -> Duration {
+    let mut times: Vec<Duration> = (0..32)
+        .map(|i| {
+            let line = line(i);
+            let start = Instant::now();
+            let response = client.send_raw(&line);
+            let elapsed = start.elapsed();
+            assert!(response.contains("Stats"), "{response}");
+            elapsed
+        })
+        .collect();
+    times.sort_unstable();
+    times[times.len() / 2]
+}
+
+/// A small request on an idle loopback connection answers in well under
+/// a millisecond of work. A response line split over two writes, or a
+/// socket left with Nagle on, instead waits for the client's delayed ACK
+/// (at least 40 ms on Linux) — so a median above 20 ms means the
+/// transport is stalling, not computing.
+#[test]
+fn small_requests_round_trip_without_a_nagle_stall() {
+    let server = Server::default();
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().expect("local addr");
+
+    std::thread::scope(|scope| {
+        let serving = scope.spawn(|| server.serve_tcp(&listener));
+        let mut client = Client::connect(addr);
+        let bare = median_round_trip(&mut client, |_| "\"Stats\"".to_owned());
+        let enveloped = median_round_trip(&mut client, |id| {
+            format!("{{\"id\": {id}, \"request\": \"Stats\"}}")
+        });
+        assert_eq!(client.send(&Request::Shutdown), "\"ShuttingDown\"");
+        serving.join().expect("server thread").expect("serve_tcp");
+        let bound = Duration::from_millis(20);
+        assert!(bare < bound, "bare Stats median round trip {bare:?}");
+        assert!(
+            enveloped < bound,
+            "enveloped Stats median round trip {enveloped:?}"
+        );
     });
 }

@@ -33,13 +33,17 @@ struct Client {
 impl Client {
     fn connect(addr: SocketAddr) -> Client {
         let stream = TcpStream::connect(addr).expect("connect");
+        stream.set_nodelay(true).expect("nodelay");
         let reader = BufReader::new(stream.try_clone().expect("clone"));
         Client { stream, reader }
     }
 
     fn send_line(&mut self, line: &str) {
-        self.stream.write_all(line.as_bytes()).expect("write");
-        self.stream.write_all(b"\n").expect("write");
+        // One write per line: a trailing "\n" in its own segment waits
+        // for the daemon's delayed ACK under Nagle.
+        self.stream
+            .write_all(format!("{line}\n").as_bytes())
+            .expect("write");
         self.stream.flush().expect("flush");
     }
 
